@@ -41,8 +41,6 @@ struct CacheStatsSnapshot {
   std::uint64_t misses = 0;
   std::uint64_t store_hits = 0;
   std::uint64_t store_errors = 0;
-  std::uint64_t prefix_hits = 0;
-  std::uint64_t prefix_misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
 };
@@ -72,8 +70,6 @@ CacheStatsSnapshot fetch_cache_stats(const std::string& socket_path) {
     snap.misses = u64("misses");
     snap.store_hits = u64("store_hits");
     snap.store_errors = u64("store_errors");
-    snap.prefix_hits = u64("prefix_hits");
-    snap.prefix_misses = u64("prefix_misses");
     snap.insertions = u64("insertions");
     snap.evictions = u64("evictions");
     if (const JsonValue* enabled = doc.find("cache_enabled")) {
@@ -265,8 +261,7 @@ int main(int argc, char** argv) try {
                            static_cast<double>(lookups)
             << "% hit rate)";
     }
-    human << ", store hits " << cache.store_hits << ", prefix hits "
-          << cache.prefix_hits << "\n";
+    human << ", store hits " << cache.store_hits << "\n";
   }
 
   if (!perf_path.empty()) {
@@ -326,8 +321,6 @@ int main(int argc, char** argv) try {
                           : 0.0);
       w.field("store_hits", cache.store_hits);
       w.field("store_errors", cache.store_errors);
-      w.field("prefix_hits", cache.prefix_hits);
-      w.field("prefix_misses", cache.prefix_misses);
       w.field("insertions", cache.insertions);
       w.field("evictions", cache.evictions);
       w.end_object();

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <thread>
 
+#include "cpg/canonical.hpp"
 #include "io/table_csv.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -112,15 +113,13 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
   w.field("speculative_hits", item.merge.speculative_hits);
   w.field("speculative_misses", item.merge.speculative_misses);
   w.end_object();
-  if (options.include_resume_counters) {
+  if (options.include_reuse_counters) {
     w.key("cover_cache").begin_object();
     w.field("hits", item.cover_cache.hits);
     w.field("misses", item.cover_cache.misses);
     w.field("entries", item.cover_cache.entries);
     w.field("resets", item.cover_cache.resets);
     w.end_object();
-  }
-  if (options.include_reuse_counters) {
     w.key("workspace").begin_object();
     w.field("runs", item.workspace.runs);
     w.field("reuse_hits", item.workspace.reuse_hits);
@@ -129,8 +128,6 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
     w.field("from_scratch", item.workspace.from_scratch);
     w.field("resumed_steps", item.workspace.resumed_steps);
     w.end_object();
-  }
-  if (options.include_resume_counters) {
     w.key("path_tree").begin_object();
     w.field("prefix_resumes", item.tree.prefix_resumes);
     w.field("resumed_steps", item.tree.resumed_steps);
@@ -170,7 +167,7 @@ std::uint64_t retry_backoff_ms(std::uint64_t seed, std::size_t attempt) {
   return std::min<std::uint64_t>(shifted, 8);
 }
 
-// ---- Schedule-cache exact tier: key encoding + payload codec ----------
+// ---- Schedule-cache key encoding + payload codec ----------------------
 //
 // The exact key is the canonical graph encoding followed by every option
 // field that affects a *serialized item*: not just the schedule/table
@@ -400,12 +397,11 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       synthesis.schedule_pool = runtime;
       synthesis.keep_paths = false;
       synthesis.budget = own_budget ? &budget : nullptr;
-      synthesis.schedule_cache = config.cache;
       if (synthesis.subtree_frontier == 0) {
         synthesis.subtree_frontier = kBatchSubtreeFrontier;
       }
 
-      // Exact-tier lookup: the key is the canonical graph encoding plus
+      // Cache lookup: the key is the canonical graph encoding plus
       // the post-override options (what actually runs), so a hit replays
       // the recorded item + CSV without touching the engine. The cache
       // verifies the full key encoding byte-for-byte — a digest collision

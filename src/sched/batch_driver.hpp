@@ -24,6 +24,7 @@
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
 #include "sched/driver.hpp"
+#include "sched/schedule_cache.hpp"
 #include "support/stats.hpp"
 
 namespace cps {
@@ -65,15 +66,13 @@ struct BatchConfig {
   CoSynthesisOptions synthesis;
   /// Optional content-addressed schedule cache shared across items,
   /// batches and (via its persistent tier) processes — non-owning,
-  /// thread-safe, must outlive the call. Exact tier: an item whose graph
-  /// + result-affecting options were co-synthesized before replays the
-  /// recorded result (and CSV) without touching the engine. Prefix tier:
-  /// the driver seeds EngineHistory resume chains (see
-  /// CoSynthesisOptions::schedule_cache, which this populates). Results
-  /// are byte-identical with or without a cache; resume-class counters
-  /// (cover_cache/workspace/path_tree) reflect cache state — serialize
-  /// with BatchJsonOptions::include_resume_counters off when comparing a
-  /// warm-cache run against a cold oracle byte-for-byte.
+  /// thread-safe, must outlive the call. An item whose graph +
+  /// result-affecting options were co-synthesized before replays the
+  /// recorded result (and CSV) without touching the engine. Results are
+  /// byte-identical with or without a cache; a replayed item carries the
+  /// reuse counters of the run that recorded it — serialize with
+  /// BatchJsonOptions::include_reuse_counters off when comparing runs
+  /// that share a cache with warm workspace pools byte-for-byte.
   ScheduleCache* cache = nullptr;
 };
 
@@ -218,19 +217,13 @@ struct BatchJsonOptions {
   bool include_timing = true;
   /// Include the per-item array, not just config + summary.
   bool include_items = true;
-  /// Include the per-item engine-workspace reuse-counter block. Those
-  /// counters are a pure function of the seed for the default cold
-  /// per-item workspaces, but with a shared WorkspacePool they reflect
-  /// warm-lease luck — disable when comparing a pooled run against a
-  /// cold oracle byte-for-byte (the service's determinism contract).
+  /// Include the per-item reuse-counter blocks (cover_cache, workspace,
+  /// path_tree). Those counters are a pure function of the seed for the
+  /// default cold per-item workspaces, but with a shared WorkspacePool the
+  /// workspace block reflects warm-lease luck — disable when comparing a
+  /// pooled run against a cold oracle byte-for-byte (the service's
+  /// determinism contract).
   bool include_reuse_counters = true;
-  /// Include the per-item cover_cache and path_tree blocks. Pure
-  /// functions of the seed for isolated items, but with a shared
-  /// ScheduleCache the prefix tier seeds resume chains across requests —
-  /// the same prefix-luck class as pooled workspace counters. The serve
-  /// protocol serializes with this off so a response stays a pure
-  /// function of (index, request options) regardless of cache state.
-  bool include_resume_counters = true;
   /// Spaces per indentation level (0 = compact).
   int indent = 2;
 };

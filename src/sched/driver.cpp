@@ -54,46 +54,12 @@ struct ScheduleStage {
   PathTreeStats tree;
   WorkspaceStats workspace;
   CoverCacheStats cover_cache;
-  ScheduleCacheStats cache;
   double enumerate_ms = 0.0;
   double schedule_ms = 0.0;
   /// The path budget tripped under BudgetAction::kBound: `paths` holds
   /// the first max_paths leaves of the enumeration order only.
   bool truncated = false;
 };
-
-/// Does this walk use the schedule cache's prefix tier? Tree mode only
-/// (kList runs from scratch by definition) and never under kRandom (the
-/// per-path priority draws consume the flow RNG in enumeration order — a
-/// cross-call history cannot replay them).
-bool prefix_cache_usable(const CoSynthesisOptions& options) {
-  return options.schedule_cache != nullptr &&
-         options.path_scheduling == PathScheduling::kTree &&
-         options.path_priority != PriorityPolicy::kRandom;
-}
-
-/// Prefix-tier key: canonical graph encoding (verified byte-for-byte by
-/// the cache) plus the walk shape — stage kind, subtree job, decomposition
-/// target — and the two options that shape what a history records
-/// (priority policy, engine). Everything else the engine re-validates
-/// against the live request before resuming, so a stale entry degrades to
-/// a from-scratch run, never to a wrong result.
-std::string prefix_key_encoding(const Cpg& g, const CoSynthesisOptions& options,
-                                std::uint8_t stage, std::uint64_t job,
-                                std::uint64_t target) {
-  std::string key = canonical_encoding(g);
-  key.append("PFX1");
-  key.push_back(static_cast<char>(stage));
-  for (int i = 0; i < 8; ++i) {
-    key.push_back(static_cast<char>((job >> (8 * i)) & 0xff));
-  }
-  for (int i = 0; i < 8; ++i) {
-    key.push_back(static_cast<char>((target >> (8 * i)) & 0xff));
-  }
-  key.push_back(static_cast<char>(options.path_priority));
-  key.push_back(static_cast<char>(options.merge.ready));
-  return key;
-}
 
 /// Engine results from per-path scheduling: interrupts (budget trips
 /// inside the engine) become typed exceptions; anything else infeasible
@@ -140,27 +106,8 @@ ScheduleStage run_serial_stage(const Cpg& g, const FlatGraph& flat,
   // Demand-driven recording (eager off): the engine starts per-step
   // checkpointing only once a sibling leaf demonstrates that resuming is
   // plausible, so tries whose sibling priorities always diverge at t=0
-  // pay no recording overhead at all. A schedule cache seeds the chain
-  // with the history a previous co-synthesis of the same graph donated:
-  // the first leaf then resumes from the deepest shared-guard-prefix
-  // checkpoint instead of scheduling from t=0 (the engine re-validates
-  // the donation, so a mismatch just runs from scratch).
+  // pay no recording overhead at all.
   EngineHistory chain;
-  std::string prefix_key;
-  Digest128 prefix_digest;
-  const bool use_prefix = tree && prefix_cache_usable(options);
-  if (use_prefix) {
-    prefix_key = prefix_key_encoding(g, options, /*stage=*/0, /*job=*/0,
-                                     /*target=*/0);
-    prefix_digest = digest_of(prefix_key);
-    if (options.schedule_cache->lookup_prefix(prefix_digest, prefix_key,
-                                              &chain)) {
-      ++out.cache.prefix_hits;
-      chain.eager = true;  // reruns are the expected case on cached graphs
-    } else {
-      ++out.cache.prefix_misses;
-    }
-  }
   PathEnumerator enumerator(g);
   while (true) {
     {
@@ -206,11 +153,6 @@ ScheduleStage run_serial_stage(const Cpg& g, const FlatGraph& flat,
   out.cover_cache = cover_cache.stats();
   out.workspace = workspace->stats;
   out.workspace -= workspace_before;
-  // Donate the end-of-walk chain (latest wins): the next request for this
-  // graph resumes from it. Only reached on success — failed walks threw.
-  if (use_prefix) {
-    options.schedule_cache->donate_prefix(prefix_digest, prefix_key, chain);
-  }
   return out;
 }
 
@@ -254,11 +196,9 @@ std::optional<ScheduleStage> run_decomposed_stage(
     PathTreeStats tree;
     WorkspaceStats workspace;
     CoverCacheStats cover_cache;
-    ScheduleCacheStats cache;
     std::exception_ptr error;
   };
   std::vector<JobResult> results(jobs.size());
-  const bool use_prefix = prefix_cache_usable(options);
 
   const auto s0 = clock_type::now();
   const auto run_job = [&](std::size_t i) {
@@ -283,22 +223,6 @@ std::optional<ScheduleStage> run_decomposed_stage(
       const WorkspaceStats ws_before = ws->stats;
       CoverCache cover_cache;  // per job: keeps the counters deterministic
       EngineHistory chain;     // demand-driven recording, like the serial walk
-      // Cross-request seeding, keyed per (job, decomposition target) so a
-      // repeat of the same graph with the same split resumes every
-      // subtree job from its own donated chain.
-      std::string prefix_key;
-      Digest128 prefix_digest;
-      if (use_prefix) {
-        prefix_key = prefix_key_encoding(g, options, /*stage=*/1, i, target);
-        prefix_digest = digest_of(prefix_key);
-        if (options.schedule_cache->lookup_prefix(prefix_digest, prefix_key,
-                                                  &chain)) {
-          ++r.cache.prefix_hits;
-          chain.eager = true;
-        } else {
-          ++r.cache.prefix_misses;
-        }
-      }
       BudgetPoll poll(options.budget);  // per-leaf poll, clock amortized
       PathEnumerator en = tree.leaves(jobs[i].context);
       while (auto path = en.next()) {
@@ -328,10 +252,6 @@ std::optional<ScheduleStage> run_decomposed_stage(
       r.cover_cache = cover_cache.stats();
       r.workspace = ws->stats;
       r.workspace -= ws_before;
-      if (use_prefix) {
-        options.schedule_cache->donate_prefix(prefix_digest, prefix_key,
-                                              chain);
-      }
     } catch (...) {
       r.error = std::current_exception();
     }
@@ -356,7 +276,6 @@ std::optional<ScheduleStage> run_decomposed_stage(
     out.tree += r.tree;
     out.workspace += r.workspace;
     out.cover_cache += r.cover_cache;
-    out.cache += r.cache;
   }
   return out;
 }
@@ -515,7 +434,6 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
                            merged.workspace,
                            stage.tree,
                            pool_delta,
-                           stage.cache,
                            std::move(delays),
                            timings,
                            status,

@@ -7,7 +7,6 @@
 
 #include "sched/delay.hpp"
 #include "sched/merge.hpp"
-#include "sched/schedule_cache.hpp"
 #include "sched/table_validate.hpp"
 #include "support/cancel.hpp"
 #include "support/thread_pool.hpp"
@@ -122,20 +121,6 @@ struct CoSynthesisOptions {
   /// start (see workspace_pool.hpp). Ignored when `workspace` is set
   /// (serial walks honor the explicit workspace first).
   WorkspacePool* workspace_pool = nullptr;
-  /// Optional cross-request schedule cache (non-owning, thread-safe; must
-  /// outlive the call). The *driver* uses only its prefix tier: tree-mode
-  /// walks seed their resume chains from the history a previous
-  /// co-synthesis of the same graph donated, and donate their own chains
-  /// back on success — so repeated graphs resume from the deepest shared
-  /// guard-prefix checkpoint instead of scheduling from t=0. (The exact
-  /// tier — whole recorded results — lives one layer up, in the batch
-  /// driver, which alone knows the full request key.) Results are
-  /// byte-identical with or without a cache; only resume-class counters
-  /// (tree, workspace, cover_cache, cache) reflect the seeding — see
-  /// BatchJsonOptions::include_resume_counters. Ignored under
-  /// PriorityPolicy::kRandom (per-path priority draws consume the flow
-  /// RNG, which a cross-call history cannot replay).
-  ScheduleCache* schedule_cache = nullptr;
   /// Per-path scheduling strategy (see PathScheduling). Tree mode is the
   /// production default; the path-list reference is retained for
   /// equivalence tests and ablation.
@@ -225,12 +210,6 @@ struct CoSynthesisResult {
   /// polluted by concurrent callers; informational only, never part of
   /// byte-identical outputs.
   PoolStats pool;
-  /// Schedule-cache counters of *this call* (prefix-tier lookups the
-  /// walks performed; zero when no cache was passed). Deterministic per
-  /// (graph, options, cache state) but dependent on what earlier requests
-  /// left in the shared cache — the same class of counter as `workspace`
-  /// under a shared pool.
-  ScheduleCacheStats cache;
   DelayReport delays;
   StageTimings timings;
   /// kOk for a complete result; kPathBudgetExceeded for a successful

@@ -218,14 +218,13 @@ struct EngineHistory {
   bool record = false;
 
   // Identity of the recorded request (everything but the locks). The
-  // graph is identified by its canonical *content* digest, not the
-  // process-local uid: histories may cross requests — and, via the
-  // schedule cache's prefix tier, processes — so "same graph" must mean
-  // "same model". Safe because a history never holds pointers into the
-  // graph (unlike EngineWorkspace's address-keyed cover cache, which
-  // stays uid-bound) and the engine verifies task_count/label/active/
-  // priority content before resuming.
-  Digest128 graph_digest;
+  // graph is identified by the process-local FlatGraph::uid(), the same
+  // rule EngineWorkspace binds its cover cache with: a history lives
+  // inside one co-synthesis call (the tree driver's leaf chain, the
+  // merge's per-path histories) and never outlives the expansion it was
+  // recorded on, so a second expansion of the same model is a different
+  // graph and its first run starts from scratch.
+  std::uint64_t graph_uid = 0;
   std::size_t task_count = 0;
   Cube label;
   std::vector<bool> active;

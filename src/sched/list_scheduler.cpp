@@ -604,7 +604,7 @@ bool Engine::try_starts_heap(Time now) {
 // test_list_scheduler / test_merge_parallel / test_path_tree).
 
 bool Engine::history_matches(const EngineHistory& h) const {
-  return h.graph_digest == fg_.canonical_digest() &&
+  return h.graph_uid == fg_.uid() &&
          h.task_count == fg_.task_count() &&
          h.enforce_knowledge == req_.enforce_knowledge &&
          h.label == label_ && h.active == active_ &&
@@ -619,7 +619,7 @@ bool Engine::history_guard_matches(const EngineHistory& h) const {
   // required: per-path runs of validated CPGs never deadlock, so an
   // infeasible record means malformed input (e.g. a hand-corrupted
   // active set) where the equivalence reasoning has no footing.
-  return h.graph_digest == fg_.canonical_digest() &&
+  return h.graph_uid == fg_.uid() &&
          h.task_count == fg_.task_count() &&
          h.feasible && h.enforce_knowledge && req_.enforce_knowledge &&
          h.cond_known.size() == fg_.cpg().conditions().size() &&
@@ -800,7 +800,7 @@ void Engine::maybe_record(Time now, std::size_t steps) {
 
 void Engine::finalize_history(const EngineResult& out, std::size_t steps) {
   EngineHistory& h = *req_.history;
-  h.graph_digest = fg_.canonical_digest();
+  h.graph_uid = fg_.uid();
   h.task_count = fg_.task_count();
   h.label = label_;
   h.active = active_;

@@ -44,12 +44,9 @@ void write_cache_stats_json(JsonWriter& w, const ScheduleCacheStats& s) {
   w.field("misses", s.misses);
   w.field("store_hits", s.store_hits);
   w.field("store_errors", s.store_errors);
-  w.field("prefix_hits", s.prefix_hits);
-  w.field("prefix_misses", s.prefix_misses);
   w.field("insertions", s.insertions);
   w.field("evictions", s.evictions);
   w.field("entries", s.entries);
-  w.field("prefix_entries", s.prefix_entries);
   w.field("bytes", s.bytes);
 }
 
@@ -133,40 +130,10 @@ void ScheduleCache::insert(const Digest128& digest,
   }
 }
 
-bool ScheduleCache::lookup_prefix(const Digest128& digest,
-                                  std::string_view key_encoding,
-                                  EngineHistory* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = prefix_.find(digest);
-  if (it == prefix_.end() || it->second.key != key_encoding) {
-    ++counters_.prefix_misses;
-    return false;
-  }
-  ++counters_.prefix_hits;
-  *out = it->second.history;
-  return true;
-}
-
-void ScheduleCache::donate_prefix(const Digest128& digest,
-                                  std::string_view key_encoding,
-                                  const EngineHistory& history) {
-  if (!history.valid) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = prefix_.try_emplace(digest);
-  it->second.key.assign(key_encoding);
-  it->second.history = history;
-  if (options_.max_prefix_entries != 0 &&
-      prefix_.size() > options_.max_prefix_entries) {
-    prefix_.clear();
-    ++counters_.evictions;
-  }
-}
-
 ScheduleCacheStats ScheduleCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ScheduleCacheStats s = counters_;
   s.entries = exact_.size();
-  s.prefix_entries = prefix_.size();
   s.bytes = exact_bytes_;
   return s;
 }

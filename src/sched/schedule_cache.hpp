@@ -1,36 +1,29 @@
-// ScheduleCache: a content-addressed, two-tier cross-request memo.
+// ScheduleCache: a content-addressed cross-request memo of whole results.
 //
-// Real request streams repeat graphs and share subgraphs; this cache turns
-// repeat traffic into O(lookup) and prefix-shared traffic into checkpoint
-// resumes (ROADMAP: "content-addressed schedule cache with a persistent
-// tier"). Two tiers, both keyed by Digest128 over a caller-supplied *key
-// encoding* (the canonical graph encoding plus whatever result-affecting
-// context the caller appends — see batch_driver's exact-key builder):
+// Real request streams repeat graphs; this cache turns repeat traffic
+// into O(lookup) (ROADMAP: "content-addressed schedule cache with a
+// persistent tier"). Entries are keyed by Digest128 over a
+// caller-supplied *key encoding* (the canonical graph encoding plus
+// whatever result-affecting context the caller appends — see
+// batch_driver's exact-key builder) and map a full request key to the
+// recorded result bytes (the batch driver's serialized item + CSV). A hit
+// replays the stored bytes without touching the engine. When `store_dir`
+// is set the in-memory tier is backed by a persistent io/store KeyStore,
+// so entries survive restarts and are shared across processes;
+// corrupt/mismatched store entries are counted and degrade to misses.
 //
-//  * The EXACT tier maps a full request key to the recorded result bytes
-//    (the batch driver's serialized item + CSV). A hit replays the stored
-//    bytes without touching the engine. Backed, when `store_dir` is set,
-//    by a persistent io/store KeyStore so entries survive restarts and
-//    are shared across processes; corrupt/mismatched store entries are
-//    counted and degrade to misses.
-//
-//  * The PREFIX tier (in-memory only) maps a graph + walk-shape key to
-//    the EngineHistory a previous co-synthesis of the same graph left
-//    behind. A hit seeds the driver's resume chain, so the first leaf of
-//    the new run resumes from the deepest shared-guard-prefix checkpoint
-//    instead of scheduling from t=0 — the cross-request generalization of
-//    the PR 4/5 within-run resume machinery. The engine re-validates the
-//    history against the live graph and request before trusting it, so a
-//    stale or foreign donation silently degrades to a from-scratch run.
+// Scheduler state never crosses requests: the engine's checkpoint
+// histories live and die inside one schedule_cpg call (see
+// EngineHistory), so only finished results are worth sharing.
 //
 // Collision safety: the digest is only an index. Every entry stores its
 // full key encoding and every hit compares it byte-for-byte against the
 // caller's; a digest collision therefore degrades to a miss — it is
 // impossible to act on.
 //
-// Eviction mirrors CoverCache: when an in-memory tier crosses its bound
-// the whole tier is dropped (one "reset", no LRU luck); the persistent
-// tier keeps the lexicographically smallest keys (KeyStore's bound).
+// Eviction mirrors CoverCache: when the in-memory tier crosses its bound
+// it is dropped whole (one "reset", no LRU luck); the persistent tier
+// keeps the lexicographically smallest keys (KeyStore's bound).
 // Thread safety: one mutex serializes all operations (the WorkspacePool
 // idiom) — a daemon shares one instance across every worker.
 #pragma once
@@ -43,7 +36,6 @@
 #include <string_view>
 
 #include "cpg/canonical.hpp"
-#include "sched/engine_workspace.hpp"
 
 namespace cps {
 
@@ -51,13 +43,11 @@ class JsonWriter;
 class KeyStore;
 
 struct ScheduleCacheOptions {
-  /// Exact-tier in-memory entry bound; crossing it drops the tier.
+  /// In-memory entry bound; crossing it drops the tier.
   std::size_t max_entries = 4096;
-  /// Exact-tier in-memory byte bound (keys + payloads); same policy.
+  /// In-memory byte bound (keys + payloads); same policy.
   std::size_t max_bytes = std::size_t{64} << 20;
-  /// Prefix-tier entry bound; same whole-tier-drop policy.
-  std::size_t max_prefix_entries = 1024;
-  /// Directory of the persistent exact tier; empty = in-memory only.
+  /// Directory of the persistent tier; empty = in-memory only.
   std::string store_dir;
   /// Entry bound of the persistent tier (KeyStoreOptions::max_entries).
   std::size_t store_max_entries = 4096;
@@ -68,28 +58,10 @@ struct ScheduleCacheStats {
   std::size_t misses = 0;        ///< exact lookups that found nothing
   std::size_t store_hits = 0;    ///< subset of `hits` served from disk
   std::size_t store_errors = 0;  ///< corrupt store entries (degraded to miss)
-  std::size_t prefix_hits = 0;
-  std::size_t prefix_misses = 0;
-  std::size_t insertions = 0;  ///< exact-tier inserts (incl. write-through)
-  std::size_t evictions = 0;   ///< tier resets + persistent-tier evictions
-  std::size_t entries = 0;         ///< snapshot: exact entries in memory
-  std::size_t prefix_entries = 0;  ///< snapshot: prefix entries in memory
-  std::size_t bytes = 0;  ///< snapshot: in-memory exact bytes (keys+payloads)
-
-  ScheduleCacheStats& operator+=(const ScheduleCacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    store_hits += o.store_hits;
-    store_errors += o.store_errors;
-    prefix_hits += o.prefix_hits;
-    prefix_misses += o.prefix_misses;
-    insertions += o.insertions;
-    evictions += o.evictions;
-    entries += o.entries;
-    prefix_entries += o.prefix_entries;
-    bytes += o.bytes;
-    return *this;
-  }
+  std::size_t insertions = 0;    ///< inserts (incl. write-through)
+  std::size_t evictions = 0;     ///< tier resets + persistent-tier evictions
+  std::size_t entries = 0;       ///< snapshot: entries in memory
+  std::size_t bytes = 0;         ///< snapshot: in-memory bytes (keys+payloads)
 };
 
 /// Serialize cache stats as a JSON object body ({hits, misses, ...}) —
@@ -105,9 +77,9 @@ class ScheduleCache {
   ScheduleCache(const ScheduleCache&) = delete;
   ScheduleCache& operator=(const ScheduleCache&) = delete;
 
-  /// Exact tier. `digest` must be digest_of(key_encoding); the split
-  /// spares hot paths recomputing it. On hit, copies the recorded payload
-  /// into *payload and returns true.
+  /// `digest` must be digest_of(key_encoding); the split spares hot paths
+  /// recomputing it. On hit, copies the recorded payload into *payload and
+  /// returns true.
   bool lookup(const Digest128& digest, std::string_view key_encoding,
               std::string* payload);
 
@@ -115,17 +87,6 @@ class ScheduleCache {
   /// persistent tier when one is configured.
   void insert(const Digest128& digest, std::string_view key_encoding,
               std::string_view payload);
-
-  /// Prefix tier: copy the recorded resume history for a graph+walk key
-  /// into *out. The caller hands the history to the engine, which
-  /// re-validates it — a hit is a hint, never a trusted result.
-  bool lookup_prefix(const Digest128& digest, std::string_view key_encoding,
-                     EngineHistory* out);
-
-  /// Donate the end-of-run resume chain for a graph+walk key (latest
-  /// donation wins). Invalid histories are ignored.
-  void donate_prefix(const Digest128& digest, std::string_view key_encoding,
-                     const EngineHistory& history);
 
   /// Monotonic counters + current-size snapshot.
   ScheduleCacheStats stats() const;
@@ -138,10 +99,6 @@ class ScheduleCache {
     std::string key;  ///< full key encoding, verified on every hit
     std::string payload;
   };
-  struct PrefixEntry {
-    std::string key;
-    EngineHistory history;
-  };
 
   /// Unlocked helpers (callers hold mu_).
   void insert_memory(const Digest128& digest, std::string_view key_encoding,
@@ -151,7 +108,6 @@ class ScheduleCache {
   mutable std::mutex mu_;
   std::unique_ptr<KeyStore> store_;
   std::map<Digest128, ExactEntry> exact_;
-  std::map<Digest128, PrefixEntry> prefix_;
   std::size_t exact_bytes_ = 0;
   ScheduleCacheStats counters_;  ///< monotonic part only
 };

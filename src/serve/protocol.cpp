@@ -140,11 +140,11 @@ std::string make_drain_response(std::uint64_t id) {
 BatchJsonOptions serve_item_json_options() {
   BatchJsonOptions options;
   options.include_timing = false;
+  // Engine reuse counters reflect which warm workspace a session's pool
+  // lent out, and an exact cache hit replays the counters of the run that
+  // recorded the entry; keeping them out keeps a response a pure function
+  // of (index, request options) regardless of pool or cache warmth.
   options.include_reuse_counters = false;
-  // Prefix-seeded resume chains (the daemon's shared schedule cache) are
-  // cross-request state; keeping these counters out keeps a response a
-  // pure function of (index, request options) regardless of cache warmth.
-  options.include_resume_counters = false;
   options.include_items = true;
   options.indent = 0;
   return options;

@@ -96,8 +96,8 @@ struct ServerOptions {
   /// Per-daemon content-addressed schedule cache, shared across every
   /// connection and request (thread-safe; see sched/schedule_cache.hpp).
   /// Responses stay byte-identical with or without it — only latency and
-  /// the "stats" op's counters change. cache.store_dir persists the exact
-  /// tier across daemon restarts.
+  /// the "stats" op's counters change. cache.store_dir persists its
+  /// entries across daemon restarts.
   bool enable_cache = true;
   ScheduleCacheOptions cache;
 };

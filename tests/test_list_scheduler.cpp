@@ -336,6 +336,51 @@ TEST(ListScheduler, CheckpointFullReuseReturnsRecordedResult) {
   expect_engine_equal(fg, first, second);
 }
 
+TEST(ListScheduler, HistoryIsBoundToTheExpansionItWasRecordedOn) {
+  // A history identifies its graph by FlatGraph::uid(): the identical
+  // request on a second expansion of the same model neither fully reuses
+  // nor resumes the recorded run — it schedules from scratch.
+  Architecture arch;
+  arch.add_processor("p");
+  CpgBuilder b(arch);
+  const ProcessId p1 = b.add_process("P1", 0, 2);
+  const ProcessId p2 = b.add_process("P2", 0, 3);
+  b.add_edge(p1, p2);
+  const Cpg g = b.build();
+  const auto paths = enumerate_paths(g);
+  const auto request_on = [&](const FlatGraph& fg) {
+    EngineRequest req;
+    req.label = paths[0].label;
+    req.active = fg.active_tasks(paths[0].label);
+    req.priority = compute_priorities(fg, req.active,
+                                      PriorityPolicy::kCriticalPath);
+    req.locks.assign(fg.task_count(), std::nullopt);
+    req.locks[fg.task_of_process(p2)] = TaskLock{10, 0};
+    return req;
+  };
+
+  EngineHistory history;
+  const FlatGraph first_fg = FlatGraph::expand(g);
+  EngineRequest first_req = request_on(first_fg);
+  first_req.resume = EngineResume::kCheckpoint;
+  first_req.history = &history;
+  EngineWorkspace ws;
+  ASSERT_TRUE(run_list_scheduler(first_fg, first_req, ws).feasible);
+  ASSERT_TRUE(history.valid);
+
+  const FlatGraph second_fg = FlatGraph::expand(g);
+  ASSERT_NE(first_fg.uid(), second_fg.uid());
+  EngineRequest rerun = request_on(second_fg);
+  const EngineResult scratch = run_list_scheduler(second_fg, rerun);
+  rerun.resume = EngineResume::kCheckpoint;
+  rerun.history = &history;
+  const EngineResult second = run_list_scheduler(second_fg, rerun, ws);
+  EXPECT_FALSE(second.full_reuse);
+  EXPECT_FALSE(second.resumed);
+  EXPECT_EQ(ws.stats.full_reuses, 0u);
+  expect_engine_equal(second_fg, scratch, second);
+}
+
 TEST(ListScheduler, DeadlockIsReportedNotThrown) {
   // An active guarded task whose disjunction is (artificially) inactive
   // can never learn its condition: the engine must report the deadlock

@@ -1,8 +1,8 @@
-// ScheduleCache (content-addressed, two-tier): cache-on runs are
-// byte-identical to cache-off runs at every thread count, repeat runs
-// replay from the exact tier (memory and persistent store), corrupt
-// store entries degrade to recomputes, digest collisions are impossible
-// to act on, and the prefix tier seeds resumes without changing results.
+// ScheduleCache (content-addressed, with a persistent tier): cache-on
+// runs are byte-identical to cache-off runs at every thread count, repeat
+// runs replay from memory and from the persistent store, corrupt store
+// entries degrade to recomputes, and digest collisions are impossible to
+// act on.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -179,10 +179,6 @@ TEST(ScheduleCache, DigestCollisionsDegradeToMisses) {
   EXPECT_FALSE(cache.lookup(digest, key_b, &payload));
   EXPECT_TRUE(cache.lookup(digest, key_a, &payload));
   EXPECT_EQ(payload, "payload A");
-
-  // Same story for the prefix tier.
-  EngineHistory history;
-  EXPECT_FALSE(cache.lookup_prefix(digest, key_b, &history));
 }
 
 TEST(ScheduleCache, CsvIsReplayedByteForByteOnExactHits) {
@@ -215,50 +211,18 @@ TEST(ScheduleCache, CsvIsReplayedByteForByteOnExactHits) {
   EXPECT_EQ(warm.delta_m, plain.delta_m);
 }
 
-TEST(ScheduleCache, PrefixTierSeedsResumesWithoutChangingResults) {
-  // Two requests over the SAME graph whose exact keys differ (disabling
-  // validation changes the exact key, not the graph or walk shape): the
-  // second run cannot replay, but the prefix tier donated by the first
-  // seeds its resume chain.
-  BatchConfig config = small_config();
-  ScheduleCache cache;
-  config.cache = &cache;
-  const BatchItem first = run_batch_item(config, 3, nullptr);
-  ASSERT_TRUE(first.ok) << first.error;
-
-  config.synthesis.validate = false;
-  const BatchItem second = run_batch_item(config, 3, nullptr);
-  ASSERT_TRUE(second.ok) << second.error;
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_GT(cache.stats().prefix_hits, 0u);
-
-  // Validation never changes results; the seeded resume must not either.
-  BatchConfig off = small_config();
-  off.synthesis.validate = false;
-  const BatchItem oracle = run_batch_item(off, 3, nullptr);
-  EXPECT_EQ(second.delta_m, oracle.delta_m);
-  EXPECT_EQ(second.delta_max, oracle.delta_max);
-  EXPECT_EQ(second.table_entries, oracle.table_entries);
-  EXPECT_EQ(second.merge.backsteps, oracle.merge.backsteps);
-}
-
 TEST(ScheduleCache, SharedCacheIsThreadSafeUnderConcurrentBatches) {
-  // Concurrent batches over the SAME items race their donations: whether
-  // a given item replays, prefix-resumes, or computes cold is a
-  // legitimate race, so resume/reuse counters are excluded from the
-  // comparison (the serve protocol's serialization contract) — schedule
-  // results must still be byte-identical.
+  // Concurrent batches over the SAME items race their inserts: whether a
+  // given item replays or computes cold is a legitimate race, but a
+  // replay carries exactly the bytes a cold run produces (counters
+  // included), so every output must match the cache-off oracle.
   BatchConfig config = small_config();
   ScheduleCache cache;
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_reuse_counters = false;
-  json.include_resume_counters = false;
   const auto shared_run = [&](ScheduleCache* c) {
     BatchConfig run = config;
     run.threads = 2;
     run.cache = c;
-    return batch_result_to_json(run_batch(run), json);
+    return batch_result_to_json(run_batch(run), deterministic_json());
   };
   const std::string oracle = shared_run(nullptr);
   std::vector<std::string> outputs(4);
