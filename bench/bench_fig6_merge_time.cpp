@@ -7,15 +7,18 @@
 // reproduction target. The per-path list scheduling itself is also timed
 // (paper: < 0.003 s for 120-node graphs).
 //
-// --compare additionally times the speculative parallel merger
-// (MergeExecution::kSpeculative, --threads workers) against the serial
-// reference on identical inputs, verifies the tables are byte-identical,
-// and reports the wall-clock speedup per cell.
+// --compare additionally re-merges every graph with the production
+// MergeExecution::kSpeculative walk (the serial walk plus its rule-3
+// lock-set audit) and verifies that the table, every non-audit merge
+// statistic and the walk's cover-cache and workspace counters equal the
+// kSerial run's, and that every adjustment was audited once; any
+// difference exits non-zero (CI equivalence gate). It reports the audit's
+// hit/miss split and the audited walk's total wall clock.
 //
 // --compare-resume does the same for the incremental-rescheduling knob:
 // it re-merges every graph serially with EngineResume::kFromScratch (the
-// retained reference) and verifies the table is byte-identical to the
-// --resume mode under test; any mismatch exits non-zero (CI equivalence
+// retained reference) and verifies the table and the merge statistics
+// equal the --resume mode's; any mismatch exits non-zero (CI equivalence
 // gate). --resume scratch|checkpoint selects the engine-resume mode of
 // the timed merges (default: checkpoint, the production default).
 //
@@ -28,7 +31,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
@@ -38,7 +40,6 @@
 #include "support/stats.hpp"
 #include "support/strings.hpp"
 #include "support/table_format.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -56,12 +57,42 @@ struct CellResult {
   std::size_t paths = 0;
   double merge_serial_ms = 0.0;  // mean over the cell's graphs
   double sched_ms = 0.0;
-  double merge_parallel_ms = 0.0;  // --compare only
-  double merge_scratch_ms = 0.0;   // --compare-resume only
+  double merge_scratch_ms = 0.0;  // --compare-resume only
   double conditions_mean = 0.0;
 };
 
-/// Machine-readable dump (schema_version 2): config, per-cell means, and
+/// Counters of the --compare audit, summed over the run.
+struct AuditTotals {
+  double merge_ms = 0.0;
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t adjustments = 0;
+};
+
+bool same_merge_stats(const MergeStats& a, const MergeStats& b) {
+  return a.backsteps == b.backsteps && a.adjustments == b.adjustments &&
+         a.locks == b.locks && a.conflicts == b.conflicts &&
+         a.conflict_moves == b.conflict_moves &&
+         a.unresolved_conflicts == b.unresolved_conflicts &&
+         a.relaxed_locks == b.relaxed_locks &&
+         a.column_clashes == b.column_clashes;
+}
+
+bool same_walk_counters(const MergeResult& a, const MergeResult& b) {
+  const CoverCacheStats& c = a.cover_cache;
+  const CoverCacheStats& d = b.cover_cache;
+  const WorkspaceStats& v = a.workspace;
+  const WorkspaceStats& w = b.workspace;
+  return c.hits == d.hits && c.misses == d.misses &&
+         c.entries == d.entries && c.resets == d.resets &&
+         v.runs == w.runs && v.reuse_hits == w.reuse_hits &&
+         v.resumes == w.resumes && v.full_reuses == w.full_reuses &&
+         v.from_scratch == w.from_scratch &&
+         v.resumed_steps == w.resumed_steps &&
+         v.checkpoints == w.checkpoints;
+}
+
+/// Machine-readable dump (schema_version 3): config, per-cell means, and
 /// run totals. The config block names the engine (heap/linear), the
 /// per-path scheduling walk (tree/list) and the resume mode, so committed
 /// trajectory points (BENCH_baseline.json, BENCH_pr4.json, ...) are
@@ -69,18 +100,17 @@ struct CellResult {
 std::string cells_to_json(const CliParser& cli, bool compare,
                           bool compare_resume, std::size_t graphs_per_cell,
                           const std::vector<CellResult>& cells,
-                          double total_serial_ms, double total_parallel_ms,
+                          double total_serial_ms, const AuditTotals& audit,
                           double total_scratch_ms, double total_sched_ms) {
   JsonWriter w(2);
   w.begin_object();
-  w.field("schema_version", 2);
+  w.field("schema_version", 3);
   w.field("bench", "bench_fig6_merge_time");
   w.key("config").begin_object();
   w.field("graphs_per_cell", graphs_per_cell);
   w.field("seed", cli.get_int("seed"));
   w.field("nodes", cli.get_string("nodes"));
   w.field("paths", cli.get_string("paths"));
-  w.field("threads", cli.get_count("threads", 0));
   w.field("compare", compare);
   w.field("engine", cli.get_string("engine"));
   w.field("sched", cli.get_string("sched"));
@@ -95,11 +125,6 @@ std::string cells_to_json(const CliParser& cli, bool compare,
     w.field("conditions_mean", cell.conditions_mean);
     w.field("sched_ms", cell.sched_ms);
     w.field("merge_serial_ms", cell.merge_serial_ms);
-    if (compare) {
-      w.field("merge_parallel_ms", cell.merge_parallel_ms);
-      w.field("speedup", cell.merge_serial_ms /
-                             std::max(cell.merge_parallel_ms, 1e-9));
-    }
     if (compare_resume) {
       w.field("merge_scratch_ms", cell.merge_scratch_ms);
       w.field("resume_speedup", cell.merge_scratch_ms /
@@ -113,9 +138,9 @@ std::string cells_to_json(const CliParser& cli, bool compare,
   w.field("merge_serial_ms", total_serial_ms);
   w.field("sched_plus_merge_ms", total_sched_ms + total_serial_ms);
   if (compare) {
-    w.field("merge_parallel_ms", total_parallel_ms);
-    w.field("parallel_speedup",
-            total_serial_ms / std::max(total_parallel_ms, 1e-9));
+    w.field("merge_speculative_ms", audit.merge_ms);
+    w.field("speculative_hits", audit.hits);
+    w.field("speculative_misses", audit.misses);
   }
   if (compare_resume) {
     w.field("merge_scratch_ms", total_scratch_ms);
@@ -181,11 +206,10 @@ int main(int argc, char** argv) try {
   cli.add_flag("nodes", "60,80,120", "comma-separated node counts");
   cli.add_flag("paths", "10,12,18,24,32",
                "comma-separated merged-schedule counts");
-  cli.add_flag("threads", "0",
-               "speculative merge worker threads (0 = hardware)");
   cli.add_bool("compare",
-               "run the speculative parallel merger against the serial "
-               "reference, verify identical tables, report speedups");
+               "re-merge with the audited kSpeculative walk, verify its "
+               "table and counters equal the kSerial run's, report the "
+               "audit (exits non-zero on any mismatch)");
   cli.add_flag("engine", "heap",
                "ready-list engine for scheduling and merging: 'heap' "
                "(production) or 'linear' (pre-heap reference)");
@@ -199,8 +223,8 @@ int main(int argc, char** argv) try {
                "'scratch' (reference)");
   cli.add_bool("compare-resume",
                "re-merge serially with EngineResume::kFromScratch, verify "
-               "the tables are byte-identical to the --resume mode, report "
-               "the speedup (exits non-zero on any mismatch)");
+               "the tables and merge statistics equal the --resume mode's, "
+               "report the speedup (exits non-zero on any mismatch)");
   cli.add_flag("json-out", "",
                "write the measurements (stable schema) as JSON to FILE "
                "(- = stdout)");
@@ -210,7 +234,6 @@ int main(int argc, char** argv) try {
                "off)");
   if (!cli.parse(argc, argv)) return 0;
   const auto graphs_per_cell = cli.get_count("graphs", 1);
-  const auto threads = cli.get_count("threads", 0);
   const bool compare = cli.get_bool("compare");
   const bool compare_resume = cli.get_bool("compare-resume");
   const std::string resume_name = cli.get_string("resume");
@@ -242,16 +265,13 @@ int main(int argc, char** argv) try {
                         "(milliseconds)");
   AsciiTable sched_time(
       "Per-path list scheduling time, all paths together (milliseconds)");
-  AsciiTable speedup_table("Speculative merge: serial ms / parallel ms = "
-                           "speedup (mean conditions per graph)");
   std::vector<std::string> head{"nodes \\ merged schedules"};
   for (std::size_t p : path_counts) head.push_back(std::to_string(p));
   merge_time.header(head);
   sched_time.header(head);
-  speedup_table.header(head);
 
   double total_serial_ms = 0.0;
-  double total_parallel_ms = 0.0;
+  AuditTotals audit;
   double total_scratch_ms = 0.0;
   double total_sched_ms = 0.0;
   std::vector<CellResult> cells;
@@ -260,22 +280,17 @@ int main(int argc, char** argv) try {
   std::size_t sched_resumes = 0;
   std::size_t sched_resumed_steps = 0;
 
-  // One pool for the whole run: worker spawn/join stays out of the timed
-  // merge regions. Likewise one engine workspace for all per-path
-  // scheduling, so buffer allocations stay out of the timed regions too.
-  std::unique_ptr<ThreadPool> pool;
-  if (compare) pool = std::make_unique<ThreadPool>(threads);
+  // One engine workspace for all per-path scheduling, so buffer
+  // allocations stay out of the timed regions.
   EngineWorkspace sched_ws;
 
   std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   for (std::size_t nodes : node_counts) {
     std::vector<std::string> mrow{std::to_string(nodes)};
     std::vector<std::string> srow{std::to_string(nodes)};
-    std::vector<std::string> prow{std::to_string(nodes)};
     for (std::size_t paths : path_counts) {
       StatAccumulator merge_ms;
       StatAccumulator sched_ms;
-      StatAccumulator parallel_ms;
       StatAccumulator scratch_ms;
       StatAccumulator conditions;
       for (std::size_t i = 0; i < graphs_per_cell; ++i) {
@@ -338,22 +353,27 @@ int main(int argc, char** argv) try {
         }
 
         if (compare) {
-          MergeOptions parallel;
-          parallel.ready = engine;
-          parallel.execution = MergeExecution::kSpeculative;
-          parallel.resume = resume;
-          parallel.pool = pool.get();
+          MergeOptions audited = serial;
+          audited.execution = MergeExecution::kSpeculative;
           t0 = clock_type::now();
-          const MergeResult parallel_result =
-              merge_schedules(fg, alt, schedules, parallel);
-          parallel_ms.add(ms_since(t0));
-          if (!parallel_result.ok) {
+          const MergeResult audited_result =
+              merge_schedules(fg, alt, schedules, audited);
+          audit.merge_ms += ms_since(t0);
+          audit.hits += audited_result.stats.speculative_hits;
+          audit.misses += audited_result.stats.speculative_misses;
+          audit.adjustments += audited_result.stats.adjustments;
+          if (!audited_result.ok) {
             all_identical = false;
             std::cerr << "ERROR: speculative merge infeasible (nodes="
                       << nodes << " paths=" << paths << " seed=" << seed
-                      << "): " << parallel_result.error << "\n";
+                      << "): " << audited_result.error << "\n";
           }
-          if (serial_result.table != parallel_result.table) {
+          if (serial_result.table != audited_result.table ||
+              !same_merge_stats(serial_result.stats, audited_result.stats) ||
+              !same_walk_counters(serial_result, audited_result) ||
+              audited_result.stats.speculative_hits +
+                      audited_result.stats.speculative_misses !=
+                  audited_result.stats.adjustments) {
             all_identical = false;
             std::cerr << "ERROR: speculative merge diverged from the "
                          "serial reference (nodes="
@@ -376,7 +396,8 @@ int main(int argc, char** argv) try {
                       << nodes << " paths=" << paths << " seed=" << seed
                       << "): " << scratch_result.error << "\n";
           }
-          if (serial_result.table != scratch_result.table) {
+          if (serial_result.table != scratch_result.table ||
+              !same_merge_stats(serial_result.stats, scratch_result.stats)) {
             all_identical = false;
             std::cerr << "ERROR: " << resume_name
                       << "-resume merge diverged from the from-scratch "
@@ -393,7 +414,6 @@ int main(int argc, char** argv) try {
       cell.paths = paths;
       cell.merge_serial_ms = merge_ms.mean();
       cell.sched_ms = sched_ms.mean();
-      if (compare) cell.merge_parallel_ms = parallel_ms.mean();
       if (compare_resume) cell.merge_scratch_ms = scratch_ms.mean();
       cell.conditions_mean = conditions.mean();
       cells.push_back(cell);
@@ -402,19 +422,9 @@ int main(int argc, char** argv) try {
         total_scratch_ms += scratch_ms.mean() * graphs_per_cell;
       }
       total_sched_ms += sched_ms.mean() * graphs_per_cell;
-      if (compare) {
-        total_parallel_ms += parallel_ms.mean() * graphs_per_cell;
-        prow.push_back(format_double(merge_ms.mean(), 3) + " / " +
-                       format_double(parallel_ms.mean(), 3) + " = " +
-                       format_double(merge_ms.mean() /
-                                         std::max(parallel_ms.mean(), 1e-9),
-                                     2) +
-                       "x (" + format_double(conditions.mean(), 1) + ")");
-      }
     }
     merge_time.add_row(mrow);
     sched_time.add_row(srow);
-    if (compare) speedup_table.add_row(prow);
   }
 
   // With --json-out - the JSON owns stdout; the human report moves to
@@ -427,21 +437,15 @@ int main(int argc, char** argv) try {
   human << '\n';
   sched_time.render(human);
   if (compare) {
-    human << '\n';
-    speedup_table.render(human);
-    human << "\ntotal merge wall clock: serial "
-          << format_double(total_serial_ms, 1) << " ms, speculative ("
-          << (threads == 0 ? std::string("hardware")
-                           : std::to_string(threads))
-          << " threads) " << format_double(total_parallel_ms, 1)
-          << " ms, speedup "
-          << format_double(total_serial_ms /
-                               std::max(total_parallel_ms, 1e-9),
-                           2)
-          << "x\n";
+    human << "\nlock-set audit (kSpeculative): " << audit.hits << " hits, "
+          << audit.misses << " misses over " << audit.adjustments
+          << " adjustments; total merge wall clock: serial "
+          << format_double(total_serial_ms, 1) << " ms, audited "
+          << format_double(audit.merge_ms, 1) << " ms\n";
     human << (all_identical
-                  ? "tables: byte-identical across execution modes\n"
-                  : "tables: DIVERGED — see errors above\n");
+                  ? "tables and counters: identical across execution "
+                    "modes\n"
+                  : "tables or counters: DIVERGED — see errors above\n");
   }
   if (compare_resume) {
     human << "\nresume modes: serial merge " << resume_name << " "
@@ -452,7 +456,8 @@ int main(int argc, char** argv) try {
                            2)
           << "x\n";
     human << (all_identical
-                  ? "tables: byte-identical across resume modes\n"
+                  ? "tables and merge statistics: identical across resume "
+                    "modes\n"
                   : "tables: DIVERGED — see errors above\n");
   }
   human << "\nengine workspace (serial merges): " << merge_workspace.runs
@@ -470,7 +475,7 @@ int main(int argc, char** argv) try {
   if (!json_path.empty()) {
     const std::string json =
         cells_to_json(cli, compare, compare_resume, graphs_per_cell, cells,
-                      total_serial_ms, total_parallel_ms, total_scratch_ms,
+                      total_serial_ms, audit, total_scratch_ms,
                       total_sched_ms);
     if (!JsonWriter::write_output(json_path, json)) return 1;
   }

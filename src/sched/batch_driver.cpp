@@ -51,6 +51,7 @@ void add_item_stats(BatchSummary& s, const BatchItem& item) {
   s.schedule_ms.add(item.schedule_ms);
   s.merge_ms.add(item.merge_ms);
   s.validate_ms.add(item.validate_ms);
+  s.delay_ms.add(item.delay_ms);
   s.total_ms.add(item.total_ms);
 }
 
@@ -141,6 +142,7 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
     w.field("schedule", item.schedule_ms);
     w.field("merge", item.merge_ms);
     w.field("validate", item.validate_ms);
+    w.field("delay", item.delay_ms);
     w.field("total", item.total_ms);
     w.end_object();
   }
@@ -172,9 +174,10 @@ std::uint64_t retry_backoff_ms(std::uint64_t seed, std::size_t attempt) {
 // The exact key is the canonical graph encoding followed by every option
 // field that affects a *serialized item*: not just the schedule/table
 // (priority policy, engine, merge order, seeds, path budget) but also
-// counter-shaping knobs (merge execution mode decides the speculative
-// counters; the decomposition target decides PathTreeStats). Interrupt
-// limits (deadline, step budget, cancel) are deliberately absent — a
+// counter-shaping knobs (merge execution mode decides whether the
+// lock-set audit fills the speculative counters; the decomposition
+// target decides PathTreeStats). Interrupt limits (deadline, step
+// budget, cancel) are deliberately absent — a
 // tripped item is never ok, and only ok items are cached. Index and seed
 // are absent too: that is the point of content addressing — the same
 // graph requested under a different index replays the same result.
@@ -385,12 +388,12 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       // is single-threaded and sharing one across pool workers would both
       // race and make the per-item reuse counters depend on scheduling
       // (breaking the byte-identical JSON guarantee). Inner parallelism —
-      // subtree jobs and speculative merge adjustments — rides the shared
-      // batch runtime via schedule_pool, with the trie decomposition pinned
-      // to a fixed frontier so the split (and with it every per-item
-      // counter) cannot depend on pool size. Items do not retain their path
-      // vectors — thousand-graph batches would otherwise carry
-      // O(paths × depth) dead weight apiece.
+      // the subtree jobs — rides the shared batch runtime via
+      // schedule_pool, with the trie decomposition pinned to a fixed
+      // frontier so the split (and with it every per-item counter) cannot
+      // depend on pool size. Items do not retain their path vectors —
+      // thousand-graph batches would otherwise carry O(paths × depth)
+      // dead weight apiece.
       CoSynthesisOptions synthesis = config.synthesis;
       synthesis.workspace = nullptr;
       synthesis.schedule_threads = 1;
@@ -451,6 +454,7 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       item.schedule_ms = result.timings.schedule_ms;
       item.merge_ms = result.timings.merge_ms;
       item.validate_ms = result.timings.validate_ms;
+      item.delay_ms = result.timings.delay_ms;
       // Render the CSV while the table is alive. Cached payloads always
       // carry it (a later request for the same graph may ask for CSV even
       // though this one did not); ~tens of bytes per table entry.
@@ -514,11 +518,10 @@ BatchResult run_batch(const BatchConfig& config) {
     } else {
       // One runtime for everything. Whole items are kLow so the stealable
       // backlog of graphs never starves inner work: an item's subtree
-      // jobs (kNormal) and speculative merge adjustments (kHigh) always
-      // jump the queue, and idle workers fall back to stealing the next
-      // graph. The calling thread participates in parallel_for, so the
-      // pool only needs threads - 1 workers to reach the requested
-      // parallelism.
+      // jobs (kNormal) always jump the queue, and idle workers fall back
+      // to stealing the next graph. The calling thread participates in
+      // parallel_for, so the pool only needs threads - 1 workers to reach
+      // the requested parallelism.
       ThreadPool pool(threads - 1);
       pool.parallel_for(
           config.count,
@@ -593,6 +596,7 @@ std::string batch_result_to_json(const BatchResult& result,
     write_stat(w, "schedule", s.schedule_ms);
     write_stat(w, "merge", s.merge_ms);
     write_stat(w, "validate", s.validate_ms);
+    write_stat(w, "delay", s.delay_ms);
     write_stat(w, "total", s.total_ms);
     w.end_object();
     // Work-stealing runtime counters ride the include_timing gate: like

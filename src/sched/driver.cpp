@@ -326,10 +326,8 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
     decompose = false;
   }
 
-  // One work-stealing runtime for the whole call: subtree jobs, and —
-  // unless the caller pinned merge.pool/merge.threads — the merge's
-  // speculative workers ride the same pool, whether it came from the
-  // caller (batch driver) or is owned here.
+  // The subtree jobs' work-stealing runtime: the caller's (batch driver)
+  // or one owned by this call.
   ThreadPool* runtime = options.schedule_pool;
   std::unique_ptr<ThreadPool> owned_pool;
   if (runtime == nullptr && decompose && threads > 1) {
@@ -353,13 +351,8 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
                             : run_serial_stage(g, *flat, options, rng, tree);
 
   const auto t3 = clock_type::now();
-  MergeOptions merge_opts = options.merge;
-  if (merge_opts.pool == nullptr && merge_opts.threads == 0 &&
-      runtime != nullptr) {
-    merge_opts.pool = runtime;
-  }
   MergeResult merged =
-      merge_schedules(*flat, stage.paths, stage.schedules, merge_opts);
+      merge_schedules(*flat, stage.paths, stage.schedules, options.merge);
   const auto t4 = clock_type::now();
   if (!merged.ok) {
     if (is_interrupt(merged.code)) {
@@ -382,6 +375,7 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
 
   DelayReport delays =
       delay_report(*flat, stage.paths, stage.schedules, merged.table);
+  const auto t6 = clock_type::now();
 
   StageTimings timings;
   timings.expand_ms = ms_between(t0, t1);
@@ -389,6 +383,7 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
   timings.schedule_ms = stage.schedule_ms;
   timings.merge_ms = ms_between(t3, t4);
   timings.validate_ms = ms_between(t4, t5);
+  timings.delay_ms = ms_between(t5, t6);
 
   const std::size_t path_count = stage.paths.size();
 

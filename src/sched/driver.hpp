@@ -133,10 +133,10 @@ struct CoSynthesisOptions {
   /// every value.
   std::size_t schedule_threads = 1;
   /// Optional externally owned pool — the unified work-stealing runtime —
-  /// for tree-mode subtree dispatch AND (unless merge.pool/merge.threads
-  /// say otherwise) the merge's speculative workers: one pool serves
-  /// every nesting level, so a batch of tree-scheduled items saturates
-  /// the machine instead of oversubscribing it. When set it replaces
+  /// for tree-mode subtree dispatch (the merge always runs on the calling
+  /// thread): one pool serves batch items and their subtree jobs, so a
+  /// batch of tree-scheduled items saturates the machine instead of
+  /// oversubscribing it. When set it replaces
   /// `schedule_threads` for sizing — the parallelism is the pool's
   /// workers plus the participating calling thread. Must outlive the
   /// call. nullptr = the flow spawns workers per call when the resolved
@@ -167,6 +167,7 @@ struct StageTimings {
   double schedule_ms = 0.0;
   double merge_ms = 0.0;
   double validate_ms = 0.0;
+  double delay_ms = 0.0;  ///< delay_report (δ_M / δ_max)
 };
 
 /// Everything the flow produces. The FlatGraph is heap-allocated so the
@@ -196,10 +197,9 @@ struct CoSynthesisResult {
   /// are a pure function of the decomposition — no dependence on which
   /// worker ran which job.
   WorkspaceStats workspace;
-  /// Aggregated engine-workspace counters of the merge (walking thread +
-  /// speculative workers): checkpoint resumes, full reuses, resumed
-  /// steps. Timing-dependent under speculative execution (see
-  /// MergeResult::workspace), hence kept out of byte-identical outputs.
+  /// Engine-workspace counters of the merge walk: checkpoint resumes,
+  /// full reuses, resumed steps. A pure function of the graph and options
+  /// (see MergeResult::workspace); not part of the batch item JSON.
   WorkspaceStats merge_workspace;
   /// Guard-trie scheduling counters (see PathTreeStats for the
   /// determinism contract). Zero under PathScheduling::kList.

@@ -9,8 +9,8 @@
 // ready heaps and knowledge words, the private cover cache — alive across
 // runs so repeated `run_list_scheduler` calls only re-`assign` into warm
 // capacity. One workspace serves one thread: the serial driver and the
-// merge walk own one as a plain member, speculative merge workers get
-// per-worker slots (support/thread_pool's WorkerLocal).
+// merge walk own one as a plain member, and each trie subtree job gets
+// its own.
 //
 // On top of the workspace, EngineHistory records a *checkpoint stream*
 // during a run: the request-independent engine state at (a thinned subset
@@ -108,10 +108,9 @@ using ReadyHeap =
     std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyCompare>;
 
 /// Counters of one workspace (accumulated across the runs it served).
-/// The serial driver's and the serial merge walk's counters are
-/// deterministic; under speculative merge execution the inline-vs-worker
-/// split depends on timing, so aggregated merge-side counters may vary
-/// with thread count (the schedule tables never do).
+/// Every workspace serves one deterministic sequence of runs (a serial
+/// walk, a subtree job or the merge walk), so its counters are a pure
+/// function of that sequence.
 struct WorkspaceStats {
   /// Engine runs served by this workspace.
   std::size_t runs = 0;
@@ -202,10 +201,10 @@ struct EngineHistory {
 
   bool valid = false;
 
-  /// Caller hint: record checkpoints from the very first run. Runs whose
-  /// history may be rerun by someone else (speculative merge jobs, whose
-  /// commit re-runs with the by-then-grown lock set on a miss) set this;
-  /// the recording then happens off the walk's critical path. Without it,
+  /// Caller hint: record checkpoints from the very first run, for callers
+  /// that know a rerun will follow. No production caller sets it today;
+  /// the engine tests use it to pin resumes on chains whose first rerun
+  /// would otherwise only arm recording. Without it,
   /// checkpoint recording is demand-driven: the first run stores only the
   /// cheap per-run metadata (identity, locks, act, outcome — enough for
   /// full reuse), and per-step recording starts once a rerun with the

@@ -86,7 +86,8 @@ class ScheduleTable {
 
   /// Cell-wise equality (rows, order and every entry field) — the
   /// canonical check behind the "byte-identical tables" guarantees of the
-  /// speculative merger. Ignores which FlatGraph instance is referenced.
+  /// merge and the batch driver. Ignores which FlatGraph instance is
+  /// referenced.
   friend bool operator==(const ScheduleTable& a, const ScheduleTable& b);
   friend bool operator!=(const ScheduleTable& a, const ScheduleTable& b) {
     return !(a == b);

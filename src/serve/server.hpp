@@ -5,9 +5,8 @@
 // accepting, framing, parsing, admission control, response flushing —
 // and never runs the pipeline itself: admitted requests queue in FIFO
 // order and dispatch onto the pool at kLow, where each one runs the same
-// run_batch_item the offline batch driver runs (inner subtree jobs and
-// speculative merge adjustments keep their higher priorities on the same
-// pool). Workers hand finished response frames back through a lock-free-
+// run_batch_item the offline batch driver runs (inner subtree jobs keep
+// their higher priority on the same pool). Workers hand finished response frames back through a lock-free-
 // enough completion queue plus a wakeup pipe.
 //
 // Robustness machinery (the point of this subsystem):

@@ -4,9 +4,9 @@
 // boundaries, cancellation racing the merge's DFS commit, a batch item
 // dying mid-graph — are nearly impossible to hit organically with real
 // inputs, so they would rot untested. This framework plants named fault
-// *sites* at the interesting boundaries (engine run/step, merge
-// adjust/speculative job/commit, trie subtree/commit, batch item, pool
-// group task); a test arms a site with a 1-based hit ordinal and the
+// *sites* at the interesting boundaries (engine run/step, merge adjust,
+// trie subtree/commit, batch item, pool group task); a test arms a site
+// with a 1-based hit ordinal and the
 // site throws InjectedFault on exactly that hit — deterministically,
 // because the ordinal counts hits, not wall clock.
 //

@@ -2,8 +2,8 @@
 //
 // Grown out of the batch driver's ad-hoc thread spawning, then a central
 // mutex + single queue pool, and now a work-stealing scheduler: every
-// parallel subsystem (batch co-synthesis, speculative schedule merging,
-// guard-trie subtree dispatch) shares ONE pool instead of each carving a
+// parallel subsystem (batch co-synthesis, the serving daemon, guard-trie
+// subtree dispatch) shares ONE pool instead of each carving a
 // slice of the machine — nested parallelism (a batch of tree-scheduled
 // items) keeps all cores busy instead of oversubscribing or degenerating
 // to serial inner execution.
@@ -15,10 +15,10 @@
 //    remaining subtree, and the owner's end stays uncontended);
 //  * a global injection queue for submissions from non-worker threads;
 //  * strict priority ordering across ALL sources: a worker prefers a
-//    kHigh task anywhere (own deque, injection queue, someone else's
-//    deque) over its own kNormal work, so walk-critical jobs (the
-//    merger's speculative adjustments, which DFS-order commits wait on)
-//    are never starved behind bulk batch items;
+//    higher-priority task anywhere (own deque, injection queue, someone
+//    else's deque) over its own lower-priority work, so inner jobs (trie
+//    subtrees, which their item waits on) are never starved behind bulk
+//    batch items;
 //  * nesting support — a task that must wait for child tasks *help-runs*
 //    them (TaskGroup::wait) instead of blocking its worker, so a batch
 //    item running on a worker can fan its subtree jobs out on the same
@@ -32,9 +32,7 @@
 //    no ordering promise beyond priority preference.
 //  * deadlock freedom under nesting — TaskGroup::wait help-runs its own
 //    group's queued tasks (a waiter never idles while its children are
-//    runnable), and jobs may additionally own claim flags (see the
-//    speculative merger) so a blocked consumer can always steal
-//    un-started work back and run it inline.
+//    runnable).
 //  * cheap idling — workers sleep on a condition variable; an idle pool
 //    costs nothing, so a process-wide shared() instance is safe to keep
 //    alive for the program's lifetime.
@@ -56,7 +54,7 @@ namespace cps {
 /// Scheduling preference of a submitted task. Workers scan levels in
 /// order, across every source, before looking at the next level.
 enum class TaskPriority : std::uint8_t {
-  kHigh = 0,    ///< walk-critical (speculative merge adjustments)
+  kHigh = 0,    ///< latency-critical (no production submitter today)
   kNormal = 1,  ///< default (subtree jobs, parallel_for helpers)
   kLow = 2,     ///< bulk background work (batch items)
 };
@@ -136,9 +134,8 @@ class ThreadPool {
                     TaskPriority priority = TaskPriority::kNormal);
 
   /// Process-wide pool sized to the hardware, created on first use.
-  /// Intended for latency-insensitive helpers (speculative merge
-  /// adjustments); subsystems with an explicit thread-count knob (batch
-  /// driver) construct their own.
+  /// Intended for latency-insensitive helpers; subsystems with an
+  /// explicit thread-count knob (batch driver) construct their own.
   static ThreadPool& shared();
 
   /// Resolve a user-facing thread-count knob: 0 = hardware concurrency.

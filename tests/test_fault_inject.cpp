@@ -28,13 +28,11 @@ namespace {
 using namespace cps;
 
 /// Sites a serial batch deterministically passes through, in pipeline
-/// order. "merge.adjust" only runs on the serial-merge walk (the
-/// speculative walk routes adjustments through spec jobs + commit), so
-/// it gets its own sweep; "pool.group_task" is exercised at the
-/// TaskGroup level (a serial batch never routes work through one).
+/// order. "pool.group_task" is exercised at the TaskGroup level (a
+/// serial batch never routes work through one).
 const char* const kBatchSites[] = {
-    "batch.item",  "engine.run",  "engine.step",  "trie.subtree",
-    "trie.commit", "merge.spec",  "merge.commit",
+    "batch.item",  "engine.run",  "engine.step",
+    "trie.subtree", "trie.commit", "merge.adjust",
 };
 
 BatchConfig sweep_config() {
@@ -129,8 +127,8 @@ TEST_F(FaultInject, EverySiteFailsExactlyOneItemAndCleanRerunIsIdentical) {
 }
 
 TEST_F(FaultInject, SerialMergeAdjustFaultIsIsolatedToo) {
-  // The serial-merge walk is the only caller of Merger::adjust; give its
-  // site the same treatment as the speculative sweep above.
+  // The sweep above runs the production (audited) merge; the plain
+  // kSerial walk passes the same site and must isolate its fault too.
   BatchConfig config = sweep_config();
   config.synthesis.merge.execution = MergeExecution::kSerial;
   const BatchResult reference = run_batch(config);
@@ -165,7 +163,7 @@ TEST_F(FaultInject, SurvivingItemsAreByteIdenticalAtEveryThreadCount) {
   const std::string pooled_reference_json = json_of(run_batch(config));
   EXPECT_EQ(pooled_reference_json, reference_json);
 
-  for (const char* site : {"engine.step", "merge.commit", "batch.item"}) {
+  for (const char* site : {"engine.step", "merge.adjust", "batch.item"}) {
     SCOPED_TRACE(site);
     fault::FaultSpec spec;
     spec.fire_at = 1;

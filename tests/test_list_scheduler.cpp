@@ -418,7 +418,7 @@ TEST(ListScheduler, DeadlockIsReportedNotThrown) {
 // Randomized checkpoint-vs-scratch equivalence: evolving rule-3-style
 // lock sets on the paths of seeded CPGs, every run compared against a
 // fresh from-scratch engine. This is the engine-level pillar under the
-// merge-level equivalence suite in test_merge_parallel.cpp.
+// merge-level equivalence suite in test_merge_speculative.cpp.
 TEST(ListScheduler, CheckpointResumeMatchesScratchOnEvolvingLockSets) {
   std::size_t incremental = 0;  // resumes + full reuses observed
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {

@@ -80,8 +80,9 @@ int main(int argc, char** argv) try {
     std::cerr << "unknown --ready value: " << ready << '\n';
     return 1;
   }
-  // Requests are the unit of parallelism (same reasoning as the batch
-  // driver's throughput sweep): serial merges keep the pool for requests.
+  // The plain serial merge walk: the lock-set audit (kSpeculative) would
+  // change no table, and leaving it off keeps served items (whose merge
+  // block carries the audit counters) byte-identical to earlier replies.
   options.workload.synthesis.merge.execution = MergeExecution::kSerial;
 
   // SIGTERM/SIGINT become a readable fd the event loop polls; the drain
